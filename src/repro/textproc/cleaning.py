@@ -35,9 +35,15 @@ from repro.config import (
     MIN_MESSAGE_WORDS,
 )
 from repro.forums.models import Forum, Message, UserRecord
+from repro.obs.metrics import counter
 from repro.textproc import patterns
 from repro.textproc.langdetect import LanguageDetector, default_detector
-from repro.textproc.tokenizer import count_words, distinct_word_ratio
+from repro.textproc.tokenizer import distinct_ratio, word_tokens
+
+#: Messages fed to :func:`polish_forum` (bot accounts' included).
+_POLISHED = counter("polish_messages_total")
+#: Language-detector calls made by :func:`polish_forum` (step 7).
+_DETECTIONS = counter("langdetect_calls_total")
 
 
 def is_bot_alias(alias: str) -> bool:
@@ -148,9 +154,10 @@ class MessagePolisher:
         """
         if not text:
             return "empty"
-        if count_words(text) < self.config.min_words:
+        words = word_tokens(text)
+        if len(words) < self.config.min_words:
             return "short"
-        if distinct_word_ratio(text) < self.config.min_distinct_ratio:
+        if distinct_ratio(words) < self.config.min_distinct_ratio:
             return "low_diversity"
         if self.config.filter_language and not self._detector.is_english(
                 text, self.config.language_min_confidence):
@@ -198,8 +205,8 @@ def polish_user(record: UserRecord, polisher: MessagePolisher,
             report.dropped_non_english += 1
             continue
         if config.drop_duplicates:
-            key = (record.alias, dedup_key(text))
             cross_key = dedup_key(text)
+            key = (record.alias, cross_key)
             if key in registry or cross_key in local_seen:
                 report.dropped_duplicates += 1
                 continue
@@ -238,6 +245,13 @@ def polish_forum(forum: Forum, config: CleaningConfig | None = None,
             polished.users[alias] = cleaned
     polished.threads = dict(forum.threads)
     report.kept_users = polished.n_users
+    _POLISHED.inc(report.input_messages)
+    if config.enabled and config.filter_language:
+        # Step 7 runs on every message that passes steps 5 and 6, and
+        # duplicates (step 2) are dropped only after it.
+        _DETECTIONS.inc(report.dropped_non_english
+                        + report.dropped_duplicates
+                        + report.kept_messages)
     return polished, report
 
 

@@ -21,12 +21,14 @@ seed-dependent on short inputs).
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Dict, Iterable, List, Mapping, Tuple
+
+import numpy as np
 
 from repro.errors import LanguageDetectionError
 from repro.textproc.lang_profiles import SEED_TEXTS, SUPPORTED_LANGUAGES
@@ -64,13 +66,20 @@ def _normalize_for_profile(text: str) -> str:
 
 
 def char_ngrams(text: str, orders: Iterable[int] = NGRAM_ORDERS) -> Counter:
-    """Count character n-grams of the given *orders* in *text*."""
+    """Count character n-grams of the given *orders* (each >= 1) in *text*.
+
+    Keys appear in first-appearance order, one order after the other.
+    :meth:`LanguageDetector.detect` sums the per-gram rows in this
+    order, so it fixes the bits of every score.
+    """
     counts: Counter = Counter()
     for order in orders:
-        if len(text) < order:
-            continue
-        for i in range(len(text) - order + 1):
-            counts[text[i:i + order]] += 1
+        # The n-grams of one order as string concatenations of shifted
+        # copies of *text*: the whole scan runs in C.
+        grams: Iterable[str] = text
+        for shift in range(1, order):
+            grams = map(operator.add, grams, text[shift:])
+        counts.update(grams)
     return counts
 
 
@@ -105,16 +114,6 @@ class LanguageProfile:
             for gram, count in counts.items()
         }
         return cls(language=language, logprobs=logprobs)
-
-    def score(self, grams: Counter) -> float:
-        """Average log-likelihood of the observed n-gram counts."""
-        total = sum(grams.values())
-        if total == 0:
-            return _UNSEEN_LOGPROB
-        acc = 0.0
-        for gram, count in grams.items():
-            acc += count * self.logprobs.get(gram, _UNSEEN_LOGPROB)
-        return acc / total
 
 
 @dataclass(frozen=True)
@@ -164,21 +163,15 @@ class LanguageDetector:
         self._profiles: Tuple[LanguageProfile, ...] = tuple(
             _built_in_profile(code) for code in codes
         )
-        # Fast path: one lookup per gram yields the logprob vector over
-        # every language at once (single dict pass instead of one per
-        # language).
-        import numpy as _np
-
-        gram_union = set()
-        for profile in self._profiles:
-            gram_union.update(profile.logprobs)
-        self._gram_logprobs: Dict[str, "_np.ndarray"] = {}
-        for gram in gram_union:
-            self._gram_logprobs[gram] = _np.array(
-                [p.logprobs.get(gram, _UNSEEN_LOGPROB)
-                 for p in self._profiles])
-        self._unseen_vector = _np.full(len(self._profiles),
-                                       _UNSEEN_LOGPROB)
+        # One row per gram seen in any profile, holding its logprob under
+        # every language; the extra last row is the unseen logprob.
+        grams = sorted(set().union(*(p.logprobs for p in self._profiles)))
+        self._rows: Dict[str, int] = {g: i for i, g in enumerate(grams)}
+        self._unseen_row = len(grams)
+        self._logprobs = np.array(
+            [[p.logprobs.get(g, _UNSEEN_LOGPROB) for p in self._profiles]
+             for g in grams]
+            + [[_UNSEEN_LOGPROB] * len(self._profiles)])
 
     @property
     def languages(self) -> Tuple[str, ...]:
@@ -199,12 +192,12 @@ class LanguageDetector:
             raise LanguageDetectionError(
                 "not enough alphabetic characters to detect a language")
         grams = char_ngrams(normalized)
-        lookup = self._gram_logprobs
-        unseen = self._unseen_vector
-        rows = [lookup.get(gram, unseen) for gram in grams]
-        counts = np.fromiter(grams.values(), dtype=np.float64,
-                             count=len(grams))
-        vector = counts @ np.vstack(rows) / counts.sum()
+        n = len(grams)
+        rows = np.fromiter(
+            map(self._rows.get, grams, repeat(self._unseen_row, n)),
+            dtype=np.intp, count=n)
+        counts = np.fromiter(grams.values(), dtype=np.float64, count=n)
+        vector = counts @ self._logprobs[rows] / counts.sum()
         scores: Dict[str, float] = {
             profile.language: float(vector[i])
             for i, profile in enumerate(self._profiles)

@@ -35,6 +35,11 @@ _COMMON_TLDS = (
 )
 _TLD_RE = re.compile(r"\.(?:%s)$" % "|".join(_COMMON_TLDS), re.IGNORECASE)
 
+#: Every :data:`URL_RE` host has a dot followed by a label character.
+#: Text without one cannot hold a URL, and this search is far cheaper
+#: than letting ``URL_RE`` try (and backtrack) at every word.
+_HOST_DOT_RE = re.compile(r"\.[a-zA-Z0-9]", re.IGNORECASE)
+
 
 def looks_like_url(match: re.Match) -> bool:
     """Decide whether a :data:`URL_RE` match is genuinely a URL.
@@ -67,6 +72,8 @@ def normalize_urls(text: str) -> str:
             host = host[len("www."):]
         return host
 
+    if not _HOST_DOT_RE.search(text):
+        return text
     return URL_RE.sub(_repl, text)
 
 
@@ -82,6 +89,8 @@ EMAIL_TAG = "_mail_"
 
 def mask_emails(text: str) -> str:
     """Replace every e-mail address with the ``_mail_`` tag (step 10)."""
+    if "@" not in text:
+        return text
     return EMAIL_RE.sub(EMAIL_TAG, text)
 
 
@@ -133,6 +142,11 @@ PGP_INTRO_RE = re.compile(
     re.IGNORECASE | re.MULTILINE,
 )
 
+#: Every :data:`PGP_INTRO_RE` match contains one of these words.  The
+#: intro pattern starts with optional parts, so it is tried at every
+#: position; this search rules most messages out at once.
+_PGP_WORD_RE = re.compile(r"pgp|gpg", re.IGNORECASE)
+
 
 def strip_pgp_blocks(text: str) -> str:
     """Remove ASCII-armored PGP blocks and their introduction lines.
@@ -143,7 +157,8 @@ def strip_pgp_blocks(text: str) -> str:
     """
     text = PGP_BLOCK_RE.sub("", text)
     # Remove now-dangling introduction lines ("my PGP key:").
-    text = PGP_INTRO_RE.sub("", text)
+    if _PGP_WORD_RE.search(text):
+        text = PGP_INTRO_RE.sub("", text)
     return text
 
 
@@ -210,9 +225,10 @@ def strip_long_words(text: str, max_length: int = 34) -> str:
 
 # --- Misc helpers ----------------------------------------------------------
 
-WHITESPACE_RE = re.compile(r"\s+")
-
-
 def collapse_whitespace(text: str) -> str:
-    """Collapse runs of whitespace into single spaces and trim the ends."""
-    return WHITESPACE_RE.sub(" ", text).strip()
+    r"""Collapse runs of whitespace into single spaces and trim the ends.
+
+    ``str.split`` splits on exactly the characters ``\s`` matches in a
+    ``str`` pattern, so this equals ``re.sub(r"\s+", " ", text).strip()``.
+    """
+    return " ".join(text.split())

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Sequence
 
 #: Token kinds produced by the tokenizer.
 WORD = "word"
@@ -21,9 +21,19 @@ NUMBER = "number"
 PUNCT = "punct"
 SYMBOL = "symbol"
 
-_TOKEN_RE = re.compile(
+#: A word: ASCII letters, with inner apostrophes and hyphens.
+_WORD_PATTERN = r"[A-Za-z]+(?:['’\-][A-Za-z]+)*"
+
+#: Word tokens alone.  No other token kind contains an ASCII letter, so
+#: scanning for words finds exactly the word tokens of :data:`TOKEN_RE`.
+_WORD_RE = re.compile(_WORD_PATTERN)
+
+#: The tokenizer itself.  ``match.lastgroup`` names the token kind;
+#: ``"word"`` marks a word token.  Hot loops read matches directly
+#: instead of building a :class:`Token` per token.
+TOKEN_RE = re.compile(
     r"""
-    (?P<word>[A-Za-z]+(?:['’\-][A-Za-z]+)*)   # words incl. contractions
+    (?P<word>""" + _WORD_PATTERN + r""")      # words incl. contractions
   | (?P<number>\d+(?:[.,]\d+)*)               # integers & decimals
   | (?P<ellipsis>\.{2,})                      # ... runs kept whole
   | (?P<bangrun>[!?]{2,})                     # !!, ?!?! runs kept whole
@@ -62,7 +72,7 @@ def iter_tokens(text: str) -> Iterator[Token]:
     single punctuation token because their presence is an author habit
     the character n-grams should see intact.
     """
-    for match in _TOKEN_RE.finditer(text):
+    for match in TOKEN_RE.finditer(text):
         kind = match.lastgroup
         surface = match.group(0)
         if kind == "word":
@@ -91,7 +101,7 @@ def word_tokens(text: str, lowercase: bool = True) -> List[str]:
         Casefold tokens (default).  Word n-gram features are built on
         casefolded text; character n-grams see the original casing.
     """
-    words = [t.text for t in iter_tokens(text) if t.kind == WORD]
+    words = _WORD_RE.findall(text)
     if lowercase:
         words = [w.lower() for w in words]
     return words
@@ -104,7 +114,7 @@ def count_words(text: str) -> int:
     10-word minimum of polishing step 5, for the 1,500-word alias
     budget, and for the Table III word sweeps.
     """
-    return sum(1 for t in iter_tokens(text) if t.kind == WORD)
+    return len(_WORD_RE.findall(text))
 
 
 def distinct_word_ratio(text: str) -> float:
@@ -113,7 +123,15 @@ def distinct_word_ratio(text: str) -> float:
     Returns 0.0 for text without any word token, which makes empty or
     symbol-only messages fail the spam filter as intended.
     """
-    words = word_tokens(text)
+    return distinct_ratio(word_tokens(text))
+
+
+def distinct_ratio(words: Sequence[str]) -> float:
+    """Ratio of distinct entries over all entries of *words* (0.0 if empty).
+
+    :func:`distinct_word_ratio` for callers that already hold the
+    casefolded word tokens.
+    """
     if not words:
         return 0.0
     return len(set(words)) / len(words)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.forums.models import Forum, Message, UserRecord
+from repro.obs.metrics import get_registry
 from repro.textproc.cleaning import (
     CleaningConfig,
     MessagePolisher,
@@ -11,6 +12,7 @@ from repro.textproc.cleaning import (
     polish_forum,
     polish_messages,
 )
+from repro.textproc.langdetect import LanguageDetector
 
 GOOD = ("I really think this vendor deserves more attention because "
         "the quality has been consistent for months")
@@ -184,3 +186,41 @@ class TestPolishForum:
         raw = world.forums["reddit"]
         assert polished_reddit.n_messages < raw.n_messages
         assert polished_reddit.n_users <= raw.n_users
+
+
+def _metric(name):
+    return get_registry().snapshot().get(name, {}).get("value", 0)
+
+
+class _CountingDetector(LanguageDetector):
+    calls = 0
+
+    def is_english(self, text, min_confidence=0.5):
+        self.calls += 1
+        return super().is_english(text, min_confidence)
+
+
+class TestPolishCounters:
+    def _forum(self):
+        return _forum([
+            _msg(1, "alice", GOOD),
+            _msg(2, "alice", GOOD),                     # duplicate
+            _msg(3, "alice", "short msg"),
+            _msg(4, "bob", "das Paket ist pünktlich angekommen und "
+                           "alles war gut, danke schön für alles"),
+            _msg(5, "spambot", GOOD + " from a bot"),
+        ])
+
+    @pytest.mark.parametrize("config", [None, CleaningConfig(
+        filter_language=False), CleaningConfig(enabled=False)])
+    def test_counters_match_the_work_done(self, config):
+        detector = _CountingDetector()
+        polished_before = _metric("polish_messages_total")
+        calls_before = _metric("langdetect_calls_total")
+        _, report = polish_forum(self._forum(), config, detector)
+        assert _metric("polish_messages_total") - polished_before \
+            == report.input_messages == 5
+        assert _metric("langdetect_calls_total") - calls_before \
+            == detector.calls
+        if config is None:
+            assert detector.calls == 3
