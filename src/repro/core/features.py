@@ -60,7 +60,6 @@ SPECIAL_CHARS: Tuple[str, ...] = (
 )
 
 _FREQ_CHARS = PUNCTUATION_CHARS + DIGIT_CHARS + SPECIAL_CHARS
-_FREQ_INDEX = {c: i for i, c in enumerate(_FREQ_CHARS)}
 
 
 @dataclass(frozen=True)
@@ -102,14 +101,11 @@ class FeatureWeights:
 
 def frequency_features(text: str) -> np.ndarray:
     """The 42 punctuation/digit/special-character frequencies of *text*."""
-    counts = np.zeros(len(_FREQ_CHARS), dtype=np.float64)
     total = len(text)
     if total == 0:
-        return counts
-    for char in text:
-        idx = _FREQ_INDEX.get(char)
-        if idx is not None:
-            counts[idx] += 1.0
+        return np.zeros(len(_FREQ_CHARS), dtype=np.float64)
+    counts = np.array([text.count(char) for char in _FREQ_CHARS],
+                      dtype=np.float64)
     return counts / total
 
 
@@ -220,6 +216,13 @@ class FeatureExtractor:
         documents associated with the set of known users Z, we rank the
         n-grams by frequency, and then we select the top N".
         """
+        self._fit_counts(documents)
+        return self
+
+    def _fit_counts(self, documents: Sequence[AliasDocument],
+                    ) -> sparse.csr_matrix:
+        """:meth:`fit`, returning the projected text counts it fitted
+        the Idf on (so :meth:`fit_transform` need not project again)."""
         if not documents:
             raise ConfigurationError("cannot fit on an empty corpus")
         with span("features.fit", n_documents=len(documents)):
@@ -238,7 +241,7 @@ class FeatureExtractor:
         _FITS.inc()
         _VOCAB_SIZE.set(self._selected_words.size
                         + self._selected_chars.size)
-        return self
+        return counts
 
     def _text_counts(self, documents: Sequence[AliasDocument],
                      ) -> sparse.csr_matrix:
@@ -256,11 +259,14 @@ class FeatureExtractor:
             raise NotFittedError("FeatureExtractor.fit has not been called")
         _TRANSFORMED.inc(len(documents))
         with span("features.transform", n_documents=len(documents)):
-            return self._transform_inner(documents)
+            return self._transform_inner(documents,
+                                         self._text_counts(documents))
 
     def _transform_inner(self, documents: Sequence[AliasDocument],
+                         counts: sparse.csr_matrix,
                          ) -> sparse.csr_matrix:
-        text = self._tfidf.transform(self._text_counts(documents))
+        # TfidfModel.transform weighs a private copy of *counts*.
+        text = self._tfidf.transform(counts)
         blocks: List[sparse.spmatrix] = [text * self.weights.text]
         cache = self.encoder.cache
         if self.weights.frequencies > 0:
@@ -288,8 +294,14 @@ class FeatureExtractor:
 
     def fit_transform(self, documents: Sequence[AliasDocument],
                       ) -> sparse.csr_matrix:
-        """Convenience: :meth:`fit` then :meth:`transform`."""
-        return self.fit(documents).transform(documents)
+        """:meth:`fit` then :meth:`transform`, projecting each document's
+        counts once: the transform reuses the count matrix the Idf was
+        fitted on.  Bit-identical to the two calls, counters included.
+        """
+        counts = self._fit_counts(documents)
+        _TRANSFORMED.inc(len(documents))
+        with span("features.transform", n_documents=len(documents)):
+            return self._transform_inner(documents, counts)
 
     def vocabulary_sizes(self) -> Dict[str, int]:
         """Actual number of selected features per text family."""

@@ -15,13 +15,16 @@ selected n-gram space at the first fit and only:
 
 Freezing the Idf alongside the selection is what makes the append
 cheap: every existing row keeps its exact feature values, so an
-:meth:`add_known` is O(added) transform work plus an O(added) index
-append, never an O(corpus) re-transform or rebuild.  This is an
-approximation twice over: genuinely novel n-grams introduced by new
-aliases are invisible, and document frequencies lag the grown corpus,
-until :meth:`refit` is called.  The approximation error is measurable
-(see ``tests/core/test_incremental.py``) and a ``staleness`` counter
-tells callers when a refit is due.
+:meth:`add_known` transforms only the added documents and appends
+only their postings, never re-transforming or rebuilding the corpus.
+It is not O(added) overall: ``sparse.vstack`` copies the whole known
+matrix to append the new rows, an O(known nnz) memory copy per add.
+The frozen space is an approximation twice over: genuinely novel
+n-grams introduced by new aliases are invisible, and document
+frequencies lag the grown corpus, until :meth:`refit` is called.  The
+approximation error is measurable (see
+``tests/core/test_incremental.py``) and a ``staleness`` counter tells
+callers when a refit is due.
 """
 
 from __future__ import annotations
@@ -158,10 +161,12 @@ class IncrementalLinker:
 
         The new rows are vectorized with the *existing* selection and
         the *existing* Idf, so every prior row of the known matrix is
-        bit-preserved and the work is O(added): transform the new
-        documents, ``vstack`` their rows, and (when the inverted index
-        is active) append them to the last shard's delta segment.  No
-        re-selection or Idf refresh happens until :meth:`refit`.
+        bit-preserved: transform the new documents, ``vstack`` their
+        rows, and (when the inverted index is active) append them to
+        the last shard's delta segment.  The transform and the index
+        append are O(added); the ``vstack`` copies the whole known
+        matrix, O(known nnz) per call.  No re-selection or Idf refresh
+        happens until :meth:`refit`.
         """
         if self._linker is None:
             raise NotFittedError("IncrementalLinker.fit not called")

@@ -354,10 +354,9 @@ def _assemble(unknowns: Sequence[Any],
 def _restage_chunk_size(n_unknowns: int, workers: int) -> int:
     """Unknowns per restage chunk.
 
-    Large enough that the block-diagonal rescore amortizes its setup
-    (and, parallel, that per-item pickling is cheap relative to work),
-    small enough that workers load-balance (4 chunks per worker) and
-    the dense score block stays bounded (64 rows x 64k columns).
+    Large enough that, parallel, per-item pickling is cheap relative
+    to work, small enough that workers load-balance (4 chunks per
+    worker).
     """
     if n_unknowns <= 0:
         return 1
@@ -529,8 +528,7 @@ class AliasLinker:
                         use_activity: Optional[bool] = None,
                         ) -> Tuple[sparse.csr_matrix, sparse.csr_matrix]:
         """The per-pair candidate-set fit, returning the two stage-2
-        matrices (candidates, then the unknown) without scoring them —
-        the batched restage folds many pairs into one similarity call.
+        matrices (candidates, then the unknown) without scoring them.
         """
         if use_activity is None:
             use_activity = self.use_activity
@@ -541,42 +539,9 @@ class AliasLinker:
             use_structure=self.use_structure,
             encoder=self.encoder,
         )
-        extractor.fit(list(candidates))
-        candidate_matrix = extractor.transform(list(candidates))
+        candidate_matrix = extractor.fit_transform(list(candidates))
         unknown_matrix = extractor.transform([unknown])
         return candidate_matrix, unknown_matrix
-
-    @staticmethod
-    def _cosine_blocks(blocks: Sequence[Tuple[sparse.csr_matrix,
-                                              sparse.csr_matrix]],
-                       ) -> List[np.ndarray]:
-        """Cosine score rows for many independent ``(candidates,
-        unknown)`` pairs via one block-diagonal sparse product.
-
-        Each pair lives in its own feature space, so the pairs are laid
-        out on a block diagonal and multiplied in a single matmul.
-        scipy's CSR matmul accumulates every output cell along the
-        stored order of the left row's entries; the diagonal layout
-        shifts column ids without reordering any row, so row *i* of the
-        big product is bit-identical to pair *i*'s own
-        ``cosine_similarity`` call.
-        """
-        if len(blocks) == 1:
-            candidate_matrix, unknown_matrix = blocks[0]
-            return [cosine_similarity(unknown_matrix,
-                                      candidate_matrix)[0]]
-        big_unknown = sparse.block_diag(
-            [unknown for _, unknown in blocks], format="csr")
-        big_candidates = sparse.block_diag(
-            [cand for cand, _ in blocks], format="csr")
-        scores = cosine_similarity(big_unknown, big_candidates)
-        rows: List[np.ndarray] = []
-        offset = 0
-        for row, (candidate_matrix, _) in enumerate(blocks):
-            width = candidate_matrix.shape[0]
-            rows.append(scores[row, offset:offset + width])
-            offset += width
-        return rows
 
     def rescore(self, unknown: AliasDocument,
                 candidates: Sequence[AliasDocument],
@@ -592,29 +557,15 @@ class AliasLinker:
     def rescore_batch(self, pairs: Sequence[Tuple[AliasDocument,
                                                   Sequence[AliasDocument]]],
                       ) -> List[List[Tuple[str, float]]]:
-        """Vectorized restage of many ``(unknown, candidates)`` pairs.
+        """Restage many ``(unknown, candidates)`` pairs in one call.
 
-        Semantically ``[self.rescore(u, c) for u, c in pairs]`` — every
-        pair keeps its own candidate-set fit, which is what makes the
-        second stage precise — but the per-pair cosine products are
-        folded into one block-diagonal sparse matmul, so the scores are
-        bit-identical while the Python/BLAS dispatch overhead is paid
-        once per batch instead of once per unknown.  Unlike
-        :meth:`link`'s internal chunking, errors propagate: callers
-        own their pairs.
+        Equal to ``[self.rescore(u, c) for u, c in pairs]``, bit for
+        bit: every pair keeps its own candidate-set fit, which is what
+        makes the second stage precise.  Unlike :meth:`link`'s internal
+        chunking, errors propagate: callers own their pairs.
         """
-        normalized = [(unknown, list(candidates))
-                      for unknown, candidates in pairs]
-        if not normalized:
-            return []
-        blocks = [self._stage2_vectors(unknown, candidates)
-                  for unknown, candidates in normalized]
-        rows = self._cosine_blocks(blocks)
-        return [
-            [(doc.doc_id, float(score))
-             for doc, score in zip(candidates, pair_scores)]
-            for (_, candidates), pair_scores in zip(normalized, rows)
-        ]
+        return [self._rescore(unknown, list(candidates))
+                for unknown, candidates in pairs]
 
     def _warm(self, unknowns: Iterable[AliasDocument]) -> None:
         """Intern every unknown's profiles in submission order.
@@ -664,41 +615,13 @@ class AliasLinker:
 
     def _stage2_chunk(self, chunk: Sequence[Candidates],
                       ) -> List[Tuple[str, Any]]:
-        """Restage a chunk of unknowns with one batched similarity.
+        """Restage a chunk of unknowns, one :meth:`_stage2_task` each.
 
         Error isolation stays per-unknown: a pair whose candidate-set
-        fit raises is reported as ``("error", reason)`` — with the same
-        message :meth:`_stage2_task` would produce — without dragging
-        down its chunk-mates, whose matrices still enter the shared
-        block-diagonal product.
+        fit raises is reported as ``("error", reason)`` without
+        dragging down its chunk-mates.
         """
-        outcomes: List[Optional[Tuple[str, Any]]] = [None] * len(chunk)
-        prepped: List[Tuple[int, sparse.csr_matrix,
-                            sparse.csr_matrix]] = []
-        for pos, candidates in enumerate(chunk):
-            unknown = candidates.unknown
-            try:
-                with span("linker.stage2", unknown=unknown.doc_id,
-                          k=len(candidates.documents)):
-                    cand_matrix, unk_matrix = self._stage2_vectors(
-                        unknown, candidates.documents)
-                prepped.append((pos, cand_matrix, unk_matrix))
-            except Exception as exc:  # noqa: BLE001 - quarantined later
-                outcomes[pos] = ("error",
-                                 f"final attribution failed: {exc}")
-        if prepped:
-            rows = self._cosine_blocks(
-                [(cand, unk) for _, cand, unk in prepped])
-            for (pos, _, _), pair_scores in zip(prepped, rows):
-                candidates = chunk[pos]
-                scored = [(doc.doc_id, float(score))
-                          for doc, score in zip(candidates.documents,
-                                                pair_scores)]
-                best_id, best_score = max(scored,
-                                          key=lambda pair: pair[1])
-                outcomes[pos] = ("ok", (scored, best_id,
-                                        float(best_score)))
-        return list(outcomes)
+        return [self._stage2_task(candidates) for candidates in chunk]
 
     def _stage2_guarded(self, candidates: Candidates,
                         budget: Optional[DeadlineBudget],

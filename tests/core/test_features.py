@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import FINAL_FEATURES, FeatureBudget
 from repro.core.documents import AliasDocument
@@ -15,6 +17,7 @@ from repro.core.features import (
     frequency_features,
 )
 from repro.errors import ConfigurationError, NotFittedError
+from repro.obs.metrics import get_registry
 
 
 def _doc(doc_id, text, activity_hour=None):
@@ -64,6 +67,38 @@ class TestFrequencyFeatures:
         for digit in "123":
             idx = len(PUNCTUATION_CHARS) + DIGIT_CHARS.index(digit)
             assert features[idx] > 0
+
+
+def _loop_frequency_features(text):
+    """The former per-character loop, kept as the reference."""
+    chars = PUNCTUATION_CHARS + DIGIT_CHARS + SPECIAL_CHARS
+    index = {c: i for i, c in enumerate(chars)}
+    counts = np.zeros(len(chars), dtype=np.float64)
+    if not text:
+        return counts
+    for char in text:
+        idx = index.get(char)
+        if idx is not None:
+            counts[idx] += 1.0
+    return counts / len(text)
+
+
+class TestFrequencyFeaturesEquivalence:
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text())
+    def test_bitwise_equal_to_loop(self, text):
+        got = frequency_features(text)
+        want = _loop_frequency_features(text)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=50, deadline=None)
+    @given(text=st.text(alphabet=st.sampled_from(
+        PUNCTUATION_CHARS + DIGIT_CHARS + SPECIAL_CHARS + ("a", " ")),
+        max_size=300))
+    def test_feature_dense_text_bitwise_equal(self, text):
+        got = frequency_features(text)
+        want = _loop_frequency_features(text)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestFeatureWeights:
@@ -165,3 +200,56 @@ class TestFeatureExtractor:
         a.fit(DOCS)
         b.fit(DOCS)  # second fit reuses cached profiles
         assert a.encoder is b.encoder
+
+
+def _counter(name):
+    return get_registry().snapshot().get(name, {}).get("value", 0)
+
+
+def _same_csr(a, b):
+    return (a.shape == b.shape
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data.view(np.int64),
+                               b.data.view(np.int64)))
+
+
+class TestFitTransform:
+    """``fit_transform`` projects once, with unchanged output and
+    counters."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"use_activity": False},
+        {"use_structure": True},
+        {"weights": FeatureWeights(frequencies=0.0)},
+    ])
+    def test_bitwise_equal_to_fit_then_transform(self, kwargs):
+        one_shot = FeatureExtractor(FINAL_FEATURES, **kwargs)
+        two_step = FeatureExtractor(FINAL_FEATURES, **kwargs)
+        assert _same_csr(one_shot.fit_transform(DOCS),
+                         two_step.fit(DOCS).transform(DOCS))
+
+    def test_bitwise_equal_on_polished_corpus(self, reddit_alter_egos):
+        docs = reddit_alter_egos.originals
+        one_shot = FeatureExtractor(FINAL_FEATURES).fit_transform(docs)
+        two_step = FeatureExtractor(FINAL_FEATURES).fit(docs) \
+            .transform(docs)
+        assert one_shot.has_sorted_indices
+        assert _same_csr(one_shot, two_step)
+
+    def test_counters_move_as_fit_then_transform(self):
+        def deltas(run):
+            fits = _counter("feature_fits_total")
+            vectorized = _counter("documents_vectorized_total")
+            run(FeatureExtractor(FINAL_FEATURES))
+            return (_counter("feature_fits_total") - fits,
+                    _counter("documents_vectorized_total") - vectorized)
+
+        one_shot = deltas(lambda e: e.fit_transform(DOCS))
+        two_step = deltas(lambda e: e.fit(DOCS).transform(DOCS))
+        assert one_shot == two_step == (1, len(DOCS))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ConfigurationError):
+            FeatureExtractor(FINAL_FEATURES).fit_transform([])
