@@ -32,7 +32,7 @@ from repro.config import FeatureBudget
 from repro.core import ngrams
 from repro.core.documents import AliasDocument
 from repro.core.structure import STRUCTURE_DIM
-from repro.core.tfidf import TfidfModel, l2_normalize_rows
+from repro.core.tfidf import TfidfModel, normalize_row_data
 from repro.errors import ConfigurationError, NotFittedError
 from repro.perf.cache import ProfileCache
 from repro.obs.metrics import counter, gauge
@@ -146,26 +146,54 @@ class DocumentEncoder:
         self.cache.drop(doc_ids)
 
 
-def _counts_matrix(profiles: Sequence[ngrams.CodeCounts],
-                   selected: np.ndarray) -> sparse.csr_matrix:
-    """Stack projected per-document counts into a CSR matrix."""
-    indptr = [0]
-    indices: List[np.ndarray] = []
-    data: List[np.ndarray] = []
-    for profile in profiles:
-        cols, counts = ngrams.project_counts(profile, selected)
-        indices.append(cols)
-        data.append(counts.astype(np.float64))
-        indptr.append(indptr[-1] + len(cols))
-    if indices:
-        indices_arr = np.concatenate(indices)
-        data_arr = np.concatenate(data)
-    else:
-        indices_arr = np.empty(0, dtype=np.int64)
-        data_arr = np.empty(0, dtype=np.float64)
-    return sparse.csr_matrix(
-        (data_arr, indices_arr, np.asarray(indptr, dtype=np.int64)),
-        shape=(len(profiles), len(selected)))
+#: One horizontal block of a CSR matrix under construction:
+#: ``(row_nnz, column indices, data, n_columns)``, rows in order.
+_Block = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
+
+def _projection_block(projection: ngrams.Projection) -> _Block:
+    return (projection.row_nnz, projection.columns, projection.counts,
+            projection.selected.size)
+
+
+def _dense_block(rows: np.ndarray, weight: float) -> _Block:
+    """Dense per-document rows as a block: their nonzero entries, each
+    row scaled to unit L2 norm, times *weight*."""
+    row_ids, columns = np.nonzero(rows)
+    data = rows[row_ids, columns].astype(np.float64, copy=False)
+    row_nnz = np.bincount(row_ids, minlength=rows.shape[0])
+    indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
+    np.cumsum(row_nnz, out=indptr[1:])
+    normalize_row_data(data, indptr)
+    return row_nnz, columns, data * weight, rows.shape[1]
+
+
+def _stack_blocks(n_rows: int,
+                  blocks: Sequence[_Block]) -> sparse.csr_matrix:
+    """Lay *blocks* side by side in one CSR construction: each row
+    holds its entries of the first block, then of the second shifted
+    past the first block's columns, and so on, the layout
+    ``sparse.hstack`` gives."""
+    row_nnz = np.column_stack([block[0] for block in blocks])
+    n_cols = sum(block[3] for block in blocks)
+    nnz = int(row_nnz.sum())
+    index = np.int32 if max(n_cols - 1, nnz) < 2 ** 31 else np.int64
+    indptr = np.zeros(n_rows + 1, dtype=index)
+    np.cumsum(row_nnz.sum(axis=1), out=indptr[1:])
+    owner = np.repeat(np.tile(np.arange(len(blocks), dtype=np.int8),
+                              n_rows), row_nnz.ravel())
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz, dtype=np.float64)
+    offset = 0
+    for number, (_, columns, values, width) in enumerate(blocks):
+        slots = owner == number
+        indices[slots] = columns + offset
+        data[slots] = values
+        offset += width
+    matrix = sparse.csr_matrix((data, indices, indptr),
+                               shape=(n_rows, n_cols))
+    matrix.has_sorted_indices = True
+    return matrix
 
 
 class FeatureExtractor:
@@ -221,22 +249,25 @@ class FeatureExtractor:
 
     def _fit_counts(self, documents: Sequence[AliasDocument],
                     ) -> sparse.csr_matrix:
-        """:meth:`fit`, returning the projected text counts it fitted
-        the Idf on (so :meth:`fit_transform` need not project again)."""
+        """:meth:`fit`, returning the text counts it fitted the Idf on
+        (so :meth:`fit_transform` need not project again).
+
+        Each n-gram family is selected and projected by
+        :func:`ngrams.fit_projection` from one sort of its occurrences.
+        """
         if not documents:
             raise ConfigurationError("cannot fit on an empty corpus")
         with span("features.fit", n_documents=len(documents)):
-            word_profiles = [self.encoder.word_profile(d)
-                             for d in documents]
-            char_profiles = [self.encoder.char_profile(d)
-                             for d in documents]
-            word_corpus = ngrams.merge_counts(word_profiles)
-            char_corpus = ngrams.merge_counts(char_profiles)
-            self._selected_words = ngrams.select_top(
-                word_corpus, self.budget.word_ngrams)
-            self._selected_chars = ngrams.select_top(
-                char_corpus, self.budget.char_ngrams)
-            counts = self._text_counts(documents)
+            words = ngrams.fit_projection(
+                [self.encoder.word_profile(d) for d in documents],
+                self.budget.word_ngrams)
+            chars = ngrams.fit_projection(
+                [self.encoder.char_profile(d) for d in documents],
+                self.budget.char_ngrams)
+            self._selected_words = words.selected
+            self._selected_chars = chars.selected
+            counts = _stack_blocks(len(documents), [
+                _projection_block(words), _projection_block(chars)])
             self._tfidf = TfidfModel().fit(counts)
         _FITS.inc()
         _VOCAB_SIZE.set(self._selected_words.size
@@ -245,12 +276,14 @@ class FeatureExtractor:
 
     def _text_counts(self, documents: Sequence[AliasDocument],
                      ) -> sparse.csr_matrix:
-        word_profiles = [self.encoder.word_profile(d) for d in documents]
-        char_profiles = [self.encoder.char_profile(d) for d in documents]
-        word_matrix = _counts_matrix(word_profiles, self._selected_words)
-        char_matrix = _counts_matrix(char_profiles, self._selected_chars)
-        return sparse.csr_matrix(
-            sparse.hstack([word_matrix, char_matrix], format="csr"))
+        words = ngrams.project_all(
+            [self.encoder.word_profile(d) for d in documents],
+            self._selected_words)
+        chars = ngrams.project_all(
+            [self.encoder.char_profile(d) for d in documents],
+            self._selected_chars)
+        return _stack_blocks(len(documents), [_projection_block(words),
+                                              _projection_block(chars)])
 
     def transform(self, documents: Sequence[AliasDocument],
                   ) -> sparse.csr_matrix:
@@ -265,32 +298,28 @@ class FeatureExtractor:
     def _transform_inner(self, documents: Sequence[AliasDocument],
                          counts: sparse.csr_matrix,
                          ) -> sparse.csr_matrix:
-        # TfidfModel.transform weighs a private copy of *counts*.
-        text = self._tfidf.transform(counts)
-        blocks: List[sparse.spmatrix] = [text * self.weights.text]
+        text = self._tfidf.weigh(counts)
+        text *= self.weights.text
+        blocks: List[_Block] = [(np.diff(counts.indptr), counts.indices,
+                                 text, counts.shape[1])]
         cache = self.encoder.cache
         if self.weights.frequencies > 0:
-            freq = np.vstack([self.encoder.freq_features(d)
-                              for d in documents])
-            freq = l2_normalize_rows(sparse.csr_matrix(freq), copy=False)
-            blocks.append(freq * self.weights.frequencies)
+            blocks.append(_dense_block(
+                np.vstack([self.encoder.freq_features(d)
+                           for d in documents]),
+                self.weights.frequencies))
         if self.use_activity and self.weights.activity > 0:
-            activity = np.vstack([
-                cache.activity_row(d, self.budget.activity_bins)
-                for d in documents
-            ])
-            activity = l2_normalize_rows(sparse.csr_matrix(activity),
-                                         copy=False)
-            blocks.append(activity * self.weights.activity)
+            blocks.append(_dense_block(
+                np.vstack([cache.activity_row(d, self.budget.activity_bins)
+                           for d in documents]),
+                self.weights.activity))
         if self.use_structure and self.weights.structure > 0:
-            structure = np.vstack([cache.structure_row(d)
-                                   for d in documents])
-            structure = l2_normalize_rows(sparse.csr_matrix(structure),
-                                          copy=False)
-            blocks.append(structure * self.weights.structure)
-        # hstack builds fresh arrays; normalize them in place.
-        stacked = sparse.csr_matrix(sparse.hstack(blocks, format="csr"))
-        return l2_normalize_rows(stacked, copy=False)
+            blocks.append(_dense_block(
+                np.vstack([cache.structure_row(d) for d in documents]),
+                self.weights.structure))
+        stacked = _stack_blocks(len(documents), blocks)
+        normalize_row_data(stacked.data, stacked.indptr)
+        return stacked
 
     def fit_transform(self, documents: Sequence[AliasDocument],
                       ) -> sparse.csr_matrix:

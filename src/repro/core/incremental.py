@@ -192,6 +192,10 @@ class IncrementalLinker:
             new_rows = reducer.extractor.transform(documents)
             grown = sparse.vstack(
                 [reducer._known_matrix, new_rows], format="csr")
+            # Both parts have sorted rows and vstack copies rows
+            # verbatim; saying so spares cosine_similarity a rescan
+            # of the whole grown matrix on the next query.
+            grown.has_sorted_indices = True
             reducer._known = self._known
             reducer._known_matrix = grown
             if reducer.active_stage1 == "invindex":

@@ -53,7 +53,8 @@ class WordVocab:
 
     Word ids are assigned on first sight and never change, so codes
     computed at different times remain comparable.  The vocabulary is
-    capped at 2**21 entries to keep three ids inside a ``uint64``.
+    capped at 2**18 (262,144) entries so that three ids fit below the
+    kind bit of a ``uint64`` code.
     """
 
     def __init__(self) -> None:
@@ -154,28 +155,46 @@ class CodeCounts:
         return cls(codes=unique, counts=counts)
 
 
+def _concatenate(profiles: Sequence[CodeCounts],
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The profiles' codes and counts laid end to end, with the offset
+    of each profile's first entry (``len(profiles) + 1`` offsets)."""
+    offsets = np.zeros(len(profiles) + 1, dtype=np.int64)
+    np.cumsum([p.codes.size for p in profiles], out=offsets[1:])
+    filled = [p for p in profiles if p.codes.size]
+    if not filled:
+        return (np.empty(0, dtype=np.uint64),
+                np.empty(0, dtype=np.int64), offsets)
+    return (np.concatenate([p.codes for p in filled]),
+            np.concatenate([p.counts for p in filled]), offsets)
+
+
+def _sort_merge(codes: np.ndarray, counts: np.ndarray,
+                ) -> Tuple[CodeCounts, np.ndarray, np.ndarray]:
+    """Corpus totals of a non-empty occurrence array.
+
+    Returns the merged profile together with the stable sort order of
+    *codes* and the mask of sorted slots that start a new code, from
+    which :func:`fit_projection` recovers every occurrence's merged
+    position without sorting again.
+    """
+    order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+    starts_mask = np.empty(len(sorted_codes), dtype=bool)
+    starts_mask[0] = True
+    np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=starts_mask[1:])
+    starts = np.flatnonzero(starts_mask)
+    merged = CodeCounts(codes=sorted_codes[starts],
+                        counts=np.add.reduceat(counts[order], starts))
+    return merged, order, starts_mask
+
+
 def merge_counts(profiles: Iterable[CodeCounts]) -> CodeCounts:
     """Aggregate several documents' profiles into corpus totals."""
-    code_parts: List[np.ndarray] = []
-    count_parts: List[np.ndarray] = []
-    for profile in profiles:
-        if profile.codes.size:
-            code_parts.append(profile.codes)
-            count_parts.append(profile.counts)
-    if not code_parts:
-        return CodeCounts(np.empty(0, dtype=np.uint64),
-                          np.empty(0, dtype=np.int64))
-    all_codes = np.concatenate(code_parts)
-    all_counts = np.concatenate(count_parts)
-    order = np.argsort(all_codes, kind="stable")
-    sorted_codes = all_codes[order]
-    sorted_counts = all_counts[order]
-    boundaries = np.empty(len(sorted_codes), dtype=bool)
-    boundaries[0] = True
-    np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=boundaries[1:])
-    starts = np.flatnonzero(boundaries)
-    merged_counts = np.add.reduceat(sorted_counts, starts)
-    return CodeCounts(codes=sorted_codes[starts], counts=merged_counts)
+    codes, counts, _ = _concatenate(list(profiles))
+    if not codes.size:
+        return CodeCounts(codes, counts)
+    return _sort_merge(codes, counts)[0]
 
 
 def document_frequencies(profiles: Iterable[CodeCounts]) -> CodeCounts:
@@ -185,23 +204,111 @@ def document_frequencies(profiles: Iterable[CodeCounts]) -> CodeCounts:
     return merge_counts(binary)
 
 
-def select_top(corpus: CodeCounts, budget: int) -> np.ndarray:
-    """The *budget* most frequent codes, returned sorted by code value.
+def top_positions(counts: np.ndarray, budget: int) -> np.ndarray:
+    """Ascending positions of the *budget* largest *counts*, ties at
+    the cut going to the lowest positions.
 
-    Ties are broken by code value so selection is deterministic.  The
-    returned array is sorted ascending so that per-document projection
-    can use :func:`numpy.searchsorted`.
+    These are exactly the first *budget* entries of the stable
+    ``argsort(-counts)``, found in O(n): ``np.partition`` finds the
+    count at the cut, every larger count is kept, and the lowest-placed
+    entries equal to the cut fill the remaining slots.
+    """
+    size = counts.size
+    if budget >= size:
+        return np.arange(size)
+    if budget <= 0:
+        return np.empty(0, dtype=np.intp)
+    cut = np.partition(counts, size - budget)[size - budget]
+    mask = counts > cut
+    ties = np.flatnonzero(counts == cut)
+    mask[ties[:budget - np.count_nonzero(mask)]] = True
+    return np.flatnonzero(mask)
+
+
+def select_top(corpus: CodeCounts, budget: int) -> np.ndarray:
+    """The *budget* most frequent codes of a :func:`merge_counts` output.
+
+    *corpus* must be sorted ascending by code, as :func:`merge_counts`
+    returns it.  Ties are then broken by code value, so selection is
+    deterministic, and the returned codes are ascending, so that
+    per-document projection can use :func:`numpy.searchsorted`.
     """
     if budget < 0:
         raise ConfigurationError("budget must be >= 0")
-    if budget == 0 or corpus.codes.size == 0:
-        return np.empty(0, dtype=np.uint64)
-    if corpus.codes.size <= budget:
-        return np.sort(corpus.codes)
-    # argsort on (-count, code): stable sort on code first, then count.
-    order = np.argsort(-corpus.counts, kind="stable")
-    chosen = corpus.codes[order[:budget]]
-    return np.sort(chosen)
+    return corpus.codes[top_positions(corpus.counts, budget)]
+
+
+@dataclass(frozen=True)
+class Projection:
+    """Several profiles projected onto a selected code set.
+
+    ``columns`` and ``counts`` hold the kept entries of every profile,
+    profile after profile (``row_nnz`` of them each), with columns
+    ascending within a profile: the rows of a CSR count matrix over
+    ``selected``.
+    """
+
+    selected: np.ndarray
+    row_nnz: np.ndarray
+    columns: np.ndarray
+    counts: np.ndarray
+
+
+def fit_projection(profiles: Sequence[CodeCounts],
+                   budget: int) -> Projection:
+    """Select the top *budget* codes of *profiles* and project every
+    profile onto them, with one sort.
+
+    Equal to ``select_top(merge_counts(profiles), budget)`` followed by
+    :func:`project_counts` of each profile.  The sort that builds the
+    corpus totals also gives each occurrence its merged position, so
+    the projection is a lookup instead of a search per profile.
+    """
+    if budget < 0:
+        raise ConfigurationError("budget must be >= 0")
+    codes, counts, offsets = _concatenate(profiles)
+    if not codes.size:
+        return Projection(selected=codes,
+                          row_nnz=np.zeros(len(profiles), dtype=np.int64),
+                          columns=np.empty(0, dtype=np.int32),
+                          counts=counts)
+    corpus, order, starts_mask = _sort_merge(codes, counts)
+    # Each occurrence-sized array is dropped once spent: a stage-1 fit
+    # holds millions of occurrences per family.
+    del codes
+    index = np.int32 if starts_mask.size < 2 ** 31 else np.int64
+    # Merged position of each occurrence: its group number in the sort.
+    group = np.cumsum(starts_mask, dtype=index)
+    group -= 1
+    del starts_mask
+    positions = np.empty_like(group)
+    positions[order] = group
+    del order, group
+    chosen = top_positions(corpus.counts, budget)
+    column_of = np.full(corpus.codes.size, -1, dtype=index)
+    column_of[chosen] = np.arange(chosen.size, dtype=index)
+    columns = column_of[positions]
+    del positions
+    kept = np.flatnonzero(columns >= 0)
+    return Projection(selected=corpus.codes[chosen],
+                      row_nnz=np.diff(np.searchsorted(kept, offsets)),
+                      columns=columns[kept], counts=counts[kept])
+
+
+def project_all(profiles: Sequence[CodeCounts],
+                selected: np.ndarray) -> Projection:
+    """:func:`project_counts` of every profile onto *selected*."""
+    parts = [project_counts(profile, selected) for profile in profiles]
+    if not parts:
+        return Projection(selected=selected,
+                          row_nnz=np.empty(0, dtype=np.int64),
+                          columns=np.empty(0, dtype=np.int64),
+                          counts=np.empty(0, dtype=np.int64))
+    return Projection(
+        selected=selected,
+        row_nnz=np.array([cols.size for cols, _ in parts], dtype=np.int64),
+        columns=np.concatenate([cols for cols, _ in parts]),
+        counts=np.concatenate([counts for _, counts in parts]))
 
 
 def project_counts(profile: CodeCounts,

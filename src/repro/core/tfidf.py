@@ -55,16 +55,22 @@ class TfidfModel:
 
     def transform(self, counts: sparse.spmatrix) -> sparse.csr_matrix:
         """Apply Tf-Idf weighting and L2 row normalization."""
+        matrix = sparse.csr_matrix(counts, dtype=np.float64, copy=True)
+        matrix.data = self.weigh(matrix)
+        return matrix
+
+    def weigh(self, counts: sparse.csr_matrix) -> np.ndarray:
+        """The data of :meth:`transform` for a CSR count matrix: a new
+        array aligned with ``counts.indices``, which stay valid for it."""
         if self._idf is None:
             raise NotFittedError("TfidfModel.fit has not been called")
-        matrix = sparse.csr_matrix(counts, dtype=np.float64, copy=True)
-        if matrix.shape[1] != self._idf.shape[0]:
+        if counts.shape[1] != self._idf.shape[0]:
             raise ValueError(
-                f"matrix has {matrix.shape[1]} columns, model was fitted "
+                f"matrix has {counts.shape[1]} columns, model was fitted "
                 f"on {self._idf.shape[0]}")
-        matrix.data *= self._idf[matrix.indices]
-        # The matrix is already a private copy: normalize it in place.
-        return l2_normalize_rows(matrix, copy=False)
+        data = counts.data * self._idf[counts.indices]
+        normalize_row_data(data, counts.indptr)
+        return data
 
     def fit_transform(self, counts: sparse.spmatrix) -> sparse.csr_matrix:
         """Convenience: :meth:`fit` then :meth:`transform`."""
@@ -85,18 +91,24 @@ def l2_normalize_rows(matrix: sparse.spmatrix,
         matrix = sparse.csr_matrix(matrix, dtype=np.float64)
     elif copy:
         matrix = matrix.copy()
-    if matrix.nnz == 0:
-        return matrix
-    row_nnz = np.diff(matrix.indptr)
-    squared = matrix.data * matrix.data
-    row_sums = np.zeros(matrix.shape[0], dtype=np.float64)
+    normalize_row_data(matrix.data, matrix.indptr)
+    return matrix
+
+
+def normalize_row_data(data: np.ndarray, indptr: np.ndarray) -> None:
+    """Scale the float64 CSR row data *data* (rows delimited by
+    *indptr*) to unit L2 norm in place; zero rows stay zero."""
+    if indptr[-1] == 0:
+        return
+    row_nnz = np.diff(indptr)
+    squared = data * data
+    row_sums = np.zeros(row_nnz.size, dtype=np.float64)
     occupied = np.flatnonzero(row_nnz > 0)
     # reduceat over the starts of the occupied rows sums each row's
     # squared data exactly (empty rows contribute no segments).
     row_sums[occupied] = np.add.reduceat(
-        squared, matrix.indptr[occupied].astype(np.int64))
+        squared, indptr[occupied].astype(np.int64))
     norms = np.sqrt(row_sums)
     scale = np.divide(1.0, norms, out=np.zeros_like(norms),
                       where=norms > 0)
-    matrix.data *= np.repeat(scale, row_nnz)
-    return matrix
+    data *= np.repeat(scale, row_nnz)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_fit import (old_fit_counts, old_text_counts,
+                           old_transform_inner)
 from repro.config import FINAL_FEATURES, FeatureBudget
 from repro.core.documents import AliasDocument
 from repro.core.features import (
@@ -16,6 +18,7 @@ from repro.core.features import (
     FeatureWeights,
     frequency_features,
 )
+from repro.core.tfidf import TfidfModel
 from repro.errors import ConfigurationError, NotFittedError
 from repro.obs.metrics import get_registry
 
@@ -253,3 +256,120 @@ class TestFitTransform:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             FeatureExtractor(FINAL_FEATURES).fit_transform([])
+
+
+def _same_typed_csr(a, b):
+    return (_same_csr(a, b)
+            and a.indptr.dtype == b.indptr.dtype
+            and a.indices.dtype == b.indices.dtype
+            and a.data.dtype == b.data.dtype)
+
+
+def _reference(budget, docs, **kwargs):
+    """An extractor fitted by the old merge/select/project/hstack path,
+    with the count matrix it fitted the Idf on."""
+    ref = FeatureExtractor(budget, **kwargs)
+    encoder = ref.encoder
+    ref._selected_words, ref._selected_chars, counts = old_fit_counts(
+        [encoder.word_profile(d) for d in docs],
+        [encoder.char_profile(d) for d in docs], budget)
+    ref._tfidf = TfidfModel().fit(counts)
+    return ref, counts
+
+
+def _old_transform(ref, docs):
+    encoder = ref.encoder
+    counts = old_text_counts([encoder.word_profile(d) for d in docs],
+                             [encoder.char_profile(d) for d in docs],
+                             ref._selected_words, ref._selected_chars)
+    return old_transform_inner(ref, docs, counts)
+
+
+# Few distinct words and characters: many n-grams tie at the budget
+# cut.  Empty texts give empty profiles; "?" and ".." give documents
+# with characters but no words.
+_TEXTS = st.lists(st.sampled_from(["a", "b", "ab", "ba", "aab", "b!",
+                                   "?", "..", "x"]),
+                  max_size=14).map(" ".join)
+
+
+_BLOCK_CONFIGS = [
+    {},
+    {"use_activity": False},
+    {"use_structure": True},
+    {"weights": FeatureWeights(frequencies=0.0)},
+    {"weights": FeatureWeights(text=0.0)},
+]
+
+
+class TestFusedFit:
+    """The fit selects and projects each n-gram family from one sort,
+    bit-identical to the merge/select/project/hstack path it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(texts=st.lists(_TEXTS, min_size=1, max_size=6),
+           others=st.lists(_TEXTS, min_size=1, max_size=3),
+           words=st.integers(0, 30), chars=st.integers(0, 90),
+           kwargs=st.sampled_from(_BLOCK_CONFIGS))
+    def test_bitwise_equal_to_old_path(self, texts, others, words, chars,
+                                       kwargs):
+        # Hour 0 stands for "no activity profile": a zero block row.
+        docs = [_doc(f"d{i}", text, (i % 3) or None)
+                for i, text in enumerate(texts)]
+        unseen = [_doc(f"u{i}", text) for i, text in enumerate(others)]
+        budget = FeatureBudget(word_ngrams=words, char_ngrams=chars)
+        ref, ref_counts = _reference(budget, docs, **kwargs)
+        fused = FeatureExtractor(budget, encoder=ref.encoder, **kwargs)
+        assert _same_typed_csr(fused._fit_counts(docs), ref_counts)
+        assert np.array_equal(fused._selected_words, ref._selected_words)
+        assert np.array_equal(fused._selected_chars, ref._selected_chars)
+        assert np.array_equal(fused._tfidf.idf.view(np.int64),
+                              ref._tfidf.idf.view(np.int64))
+        assert _same_typed_csr(fused.fit_transform(docs),
+                               old_transform_inner(ref, docs, ref_counts))
+        assert _same_typed_csr(fused.transform(unseen),
+                               _old_transform(ref, unseen))
+
+    @pytest.mark.parametrize("texts", [
+        ["", ""],
+        ["", "a b ab"],
+        ["? ..", "?"],
+        ["a b a b a b"],
+    ], ids=["all-empty", "one-empty", "no-words", "single-document"])
+    @pytest.mark.parametrize("words,chars", [(0, 0), (2, 3), (1000, 1000)])
+    def test_edge_corpora(self, texts, words, chars):
+        docs = [_doc(f"d{i}", text) for i, text in enumerate(texts)]
+        budget = FeatureBudget(word_ngrams=words, char_ngrams=chars)
+        ref, ref_counts = _reference(budget, docs)
+        fused = FeatureExtractor(budget, encoder=ref.encoder)
+        assert _same_typed_csr(fused._fit_counts(docs), ref_counts)
+        assert _same_typed_csr(fused.fit_transform(docs),
+                               old_transform_inner(ref, docs, ref_counts))
+
+    def test_bitwise_equal_on_polished_corpus(self, reddit_alter_egos):
+        docs = reddit_alter_egos.originals
+        ref, ref_counts = _reference(FINAL_FEATURES, docs)
+        fused = FeatureExtractor(FINAL_FEATURES, encoder=ref.encoder)
+        counts = fused._fit_counts(docs)
+        assert counts.has_sorted_indices
+        assert _same_typed_csr(counts, ref_counts)
+        unseen = reddit_alter_egos.alter_egos
+        assert _same_typed_csr(fused.transform(unseen),
+                               _old_transform(ref, unseen))
+
+    def test_counters_and_vocab_gauge(self):
+        budget = FeatureBudget(word_ngrams=5, char_ngrams=40)
+        ref, _ = _reference(budget, DOCS)
+        expected_size = ref._selected_words.size + ref._selected_chars.size
+
+        def deltas(run):
+            fits = _counter("feature_fits_total")
+            vectorized = _counter("documents_vectorized_total")
+            run(FeatureExtractor(budget))
+            return (_counter("feature_fits_total") - fits,
+                    _counter("documents_vectorized_total") - vectorized,
+                    _counter("encoder_vocab_size"))
+
+        assert deltas(lambda e: e.fit(DOCS)) == (1, 0, expected_size)
+        assert deltas(lambda e: e.fit_transform(DOCS)) == \
+            (1, len(DOCS), expected_size)

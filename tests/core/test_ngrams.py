@@ -4,7 +4,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference_fit import old_merge_counts, old_project, old_select_top
 from repro.core import ngrams
 from repro.errors import ConfigurationError
 
@@ -186,3 +189,111 @@ class TestSelectAndProject:
         cols, _ = ngrams.project_counts(
             profile, np.empty(0, dtype=np.uint64))
         assert cols.size == 0
+
+
+# -- the fused fit against the merge/select/project path it replaced ----------
+
+# A small code pool forces shared codes across profiles; small counts
+# force many ties at the budget cut.  Large codes exercise the full
+# uint64 range the word and char encodings use.
+_CODE_POOL = st.one_of(st.integers(0, 40),
+                       st.integers(2 ** 59, 2 ** 59 + 40),
+                       st.integers(2 ** 63, 2 ** 64 - 1))
+_PROFILE = st.dictionaries(_CODE_POOL, st.integers(1, 4), max_size=30)
+
+
+def _profiles(dicts):
+    out = []
+    for pairs in dicts:
+        codes = sorted(pairs)
+        out.append(ngrams.CodeCounts(np.array(codes, dtype=np.uint64),
+                                     np.array([pairs[c] for c in codes],
+                                              dtype=np.int64)))
+    return out
+
+
+def _assert_fit_equals_reference(profiles, budget):
+    merged_codes, merged_counts = old_merge_counts(profiles)
+    selected = old_select_top(merged_codes, merged_counts, budget)
+    fused = ngrams.fit_projection(profiles, budget)
+    assert fused.selected.dtype == np.uint64
+    assert np.array_equal(fused.selected, selected)
+    assert fused.row_nnz.tolist() == [
+        old_project(p.codes, p.counts, selected)[0].size
+        for p in profiles]
+    start = 0
+    for profile, nnz in zip(profiles, fused.row_nnz):
+        cols, counts = old_project(profile.codes, profile.counts, selected)
+        assert np.array_equal(fused.columns[start:start + nnz], cols)
+        assert np.array_equal(fused.counts[start:start + nnz], counts)
+        start += nnz
+    assert start == fused.columns.size == fused.counts.size
+
+
+class TestFusedFitEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(dicts=st.lists(_PROFILE, max_size=8),
+           budget=st.integers(0, 80))
+    def test_fit_projection_equals_old_path(self, dicts, budget):
+        _assert_fit_equals_reference(_profiles(dicts), budget)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dicts=st.lists(_PROFILE, max_size=8),
+           budget=st.integers(0, 80))
+    def test_merge_and_select_equal_old_path(self, dicts, budget):
+        profiles = _profiles(dicts)
+        codes, counts = old_merge_counts(profiles)
+        merged = ngrams.merge_counts(profiles)
+        assert np.array_equal(merged.codes, codes)
+        assert np.array_equal(merged.counts, counts)
+        assert np.array_equal(ngrams.select_top(merged, budget),
+                              old_select_top(codes, counts, budget))
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(0, 3), max_size=60),
+           budget=st.integers(0, 70))
+    def test_top_positions_is_stable_argsort_head(self, counts, budget):
+        counts = np.array(counts, dtype=np.int64)
+        expected = np.sort(np.argsort(-counts, kind="stable")[:budget])
+        assert np.array_equal(ngrams.top_positions(counts, budget),
+                              expected)
+
+    def test_all_ties_at_the_cut(self):
+        profiles = _profiles([{c: 1 for c in range(0, 40, 2)},
+                              {c: 1 for c in range(1, 40, 2)}])
+        for budget in (1, 7, 20, 39):
+            _assert_fit_equals_reference(profiles, budget)
+        # Ties go to the lowest codes.
+        assert ngrams.fit_projection(profiles, 3).selected.tolist() == \
+            [0, 1, 2]
+
+    def test_empty_profiles(self):
+        empty = ngrams.CodeCounts(np.empty(0, dtype=np.uint64),
+                                  np.empty(0, dtype=np.int64))
+        fused = ngrams.fit_projection([empty, empty], 5)
+        assert fused.selected.size == 0
+        assert fused.row_nnz.tolist() == [0, 0]
+        assert fused.columns.size == 0
+        assert ngrams.fit_projection([], 5).row_nnz.size == 0
+        profiles = [empty] + _profiles([{3: 2, 9: 1}]) + [empty]
+        _assert_fit_equals_reference(profiles, 1)
+        assert ngrams.fit_projection(profiles, 1).row_nnz.tolist() == \
+            [0, 1, 0]
+
+    def test_budget_zero_and_beyond_merged_size(self):
+        profiles = _profiles([{1: 2, 5: 1}, {5: 3, 7: 1}])
+        assert ngrams.fit_projection(profiles, 0).columns.size == 0
+        for budget in (3, 4, 100):
+            fused = ngrams.fit_projection(profiles, budget)
+            assert fused.selected.tolist() == [1, 5, 7]
+            assert fused.columns.tolist() == [0, 1, 1, 2]
+            assert fused.counts.tolist() == [2, 1, 3, 1]
+
+    def test_single_document(self):
+        profiles = _profiles([{4: 1, 8: 5, 9: 5, 12: 2}])
+        for budget in range(6):
+            _assert_fit_equals_reference(profiles, budget)
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ngrams.fit_projection(_profiles([{1: 1}]), -1)

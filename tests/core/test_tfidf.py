@@ -66,6 +66,14 @@ class TestTfidfModel:
         TfidfModel().fit_transform(counts)
         assert np.array_equal(counts.toarray(), original)
 
+    def test_weigh_is_transform_data(self):
+        counts = _counts()
+        model = TfidfModel().fit(counts)
+        original = counts.data.copy()
+        weights = model.weigh(counts)
+        assert np.array_equal(weights, model.transform(counts).data)
+        assert np.array_equal(counts.data, original)
+
 
 class TestL2Normalize:
     def test_unit_norms(self):
