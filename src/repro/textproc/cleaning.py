@@ -26,15 +26,16 @@ Step numbering below follows the paper exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import (
     MAX_WORD_LENGTH,
     MIN_DISTINCT_WORD_RATIO,
     MIN_MESSAGE_WORDS,
 )
-from repro.forums.models import Forum, Message, UserRecord
+from repro.errors import ConfigurationError
+from repro.forums.models import Forum, UserRecord
 from repro.obs.metrics import counter
 from repro.textproc import patterns
 from repro.textproc.langdetect import LanguageDetector, default_detector
@@ -42,7 +43,7 @@ from repro.textproc.tokenizer import distinct_ratio, word_tokens
 
 #: Messages fed to :func:`polish_forum` (bot accounts' included).
 _POLISHED = counter("polish_messages_total")
-#: Language-detector calls made by :func:`polish_forum` (step 7).
+#: Texts :func:`polish_forum` scores for language (step 7).
 _DETECTIONS = counter("langdetect_calls_total")
 
 
@@ -72,7 +73,9 @@ class CleaningConfig:
     """Tunable knobs of the polishing pipeline.
 
     The defaults reproduce the paper's choices; benchmarks use the
-    ``enabled`` switch to ablate the whole pipeline.
+    ``enabled`` switch to ablate the whole pipeline.  Step 7 keeps a
+    message when it is detected as ``keep_language`` with a confidence
+    of at least ``language_min_confidence`` (in [0, 1]).
     """
 
     min_words: int = MIN_MESSAGE_WORDS
@@ -84,6 +87,12 @@ class CleaningConfig:
     drop_duplicates: bool = True
     filter_language: bool = True
     enabled: bool = True
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.language_min_confidence <= 1.0:
+            raise ConfigurationError(
+                "language_min_confidence must be in [0, 1], got "
+                f"{self.language_min_confidence!r}")
 
 
 @dataclass
@@ -111,12 +120,12 @@ class PolishReport:
 
 
 class MessagePolisher:
-    """Apply the text-level polishing steps to individual messages.
+    """Apply the text-level polishing steps to messages.
 
     The transform steps (3, 4, 8–12) always run; the filter steps
-    (5, 6, 7) decide whether the message survives at all.
+    (5, 6, 7) decide whether a message survives at all.
 
-    ``polish_text`` returns the cleaned text, or ``None`` when the
+    ``polish_texts`` returns each cleaned text, or ``None`` when the
     message must be dropped.
     """
 
@@ -124,6 +133,10 @@ class MessagePolisher:
                  detector: LanguageDetector | None = None) -> None:
         self.config = config or CleaningConfig()
         self._detector = detector or default_detector()
+        if self.config.keep_language not in self._detector.languages:
+            raise ConfigurationError(
+                f"keep_language {self.config.keep_language!r} is not one "
+                f"of the detector's languages {self._detector.languages}")
 
     # -- transforms (always applied, in paper order 8, 9, 11, 3, 10, 4, 12)
 
@@ -146,12 +159,30 @@ class MessagePolisher:
 
     # -- filters (steps 5, 6, 7)
 
-    def drop_reason(self, text: str) -> Optional[str]:
-        """Why cleaned *text* should be dropped, or ``None`` to keep it.
+    def drop_reasons(self, texts: Sequence[str]) -> List[Optional[str]]:
+        """Why each cleaned text should be dropped, ``None`` to keep it.
 
-        Returns one of ``"empty"``, ``"short"``, ``"low_diversity"``,
-        ``"non_english"``.
+        Each reason is one of ``"empty"``, ``"short"``,
+        ``"low_diversity"`` and ``"non_english"`` (not detected as
+        ``keep_language`` with enough confidence).  The texts that pass
+        steps 5 and 6 reach step 7 in one
+        :meth:`~repro.textproc.langdetect.LanguageDetector.detect_many`
+        call.
         """
+        reasons = [self._word_filter(text) for text in texts]
+        if self.config.filter_language:
+            keep = self.config.keep_language
+            floor = self.config.language_min_confidence
+            scored = [i for i, reason in enumerate(reasons) if reason is None]
+            detections = self._detector.detect_many([texts[i] for i in scored])
+            for i, found in zip(scored, detections):
+                if not (found and found.language == keep
+                        and found.confidence >= floor):
+                    reasons[i] = "non_english"
+        return reasons
+
+    def _word_filter(self, text: str) -> Optional[str]:
+        """Steps 5 and 6 (and empty text) for one cleaned text."""
         if not text:
             return "empty"
         words = word_tokens(text)
@@ -159,19 +190,19 @@ class MessagePolisher:
             return "short"
         if distinct_ratio(words) < self.config.min_distinct_ratio:
             return "low_diversity"
-        if self.config.filter_language and not self._detector.is_english(
-                text, self.config.language_min_confidence):
-            return "non_english"
         return None
 
-    def polish_text(self, text: str) -> Optional[str]:
-        """Transform then filter: cleaned text, or ``None`` if dropped."""
+    def polish_texts(self, texts: Sequence[str]) -> List[Optional[str]]:
+        """Transform then filter: each cleaned text, ``None`` if dropped."""
         if not self.config.enabled:
-            return text
-        cleaned = self.transform(text)
-        if self.drop_reason(cleaned) is not None:
-            return None
-        return cleaned
+            return list(texts)
+        cleaned = [self.transform(text) for text in texts]
+        return [None if reason is not None else text
+                for text, reason in zip(cleaned, self.drop_reasons(cleaned))]
+
+    def polish_text(self, text: str) -> Optional[str]:
+        """Transform then filter one text: cleaned, or ``None`` if dropped."""
+        return self.polish_texts([text])[0]
 
 
 def polish_user(record: UserRecord, polisher: MessagePolisher,
@@ -179,19 +210,24 @@ def polish_user(record: UserRecord, polisher: MessagePolisher,
                 seen_keys: Optional[set] = None) -> UserRecord:
     """Polish one user's messages, updating *report* drop counters.
 
-    *seen_keys*, when given, is the cross-user duplicate registry used to
-    drop crossposts (the same text posted to several subreddits keeps
-    only its first occurrence).
+    Every message is transformed first; the survivors of steps 5 and 6
+    reach step 7 together, and the accounting and duplicate checks then
+    run in message order.  *seen_keys*, when given, is the cross-user
+    duplicate registry used to drop crossposts (the same text posted to
+    several subreddits keeps only its first occurrence).
     """
     config = polisher.config
     cleaned = UserRecord(alias=record.alias, forum=record.forum,
                          metadata=dict(record.metadata))
     local_seen: set = set()
     registry = seen_keys if seen_keys is not None else local_seen
-    for message in record.messages:
-        text = polisher.transform(message.text) if config.enabled \
-            else message.text
-        reason = polisher.drop_reason(text) if config.enabled else None
+    if config.enabled:
+        texts = [polisher.transform(m.text) for m in record.messages]
+        reasons = polisher.drop_reasons(texts)
+    else:
+        texts = [m.text for m in record.messages]
+        reasons = [None] * len(texts)
+    for message, text, reason in zip(record.messages, texts, reasons):
         if reason == "empty":
             report.dropped_empty_after_cleaning += 1
             continue
@@ -265,8 +301,7 @@ def polish_messages(messages: Iterable[str],
     polisher = MessagePolisher(config)
     kept: List[str] = []
     seen: set = set()
-    for text in messages:
-        cleaned = polisher.polish_text(text)
+    for cleaned in polisher.polish_texts(list(messages)):
         if cleaned is None:
             continue
         key = dedup_key(cleaned)

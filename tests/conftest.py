@@ -2,15 +2,22 @@
 
 World generation and polishing are the expensive steps, so they are
 session-scoped; tests must treat these fixtures as read-only.
+
+The ``ci`` hypothesis profile (``--hypothesis-profile=ci``) runs every
+property test without an explicit example count on 500 examples, with
+no deadline.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.eval.alterego import build_alter_ego_dataset
 from repro.synth.world import small_world
 from repro.textproc.cleaning import polish_forum
+
+settings.register_profile("ci", max_examples=500, deadline=None)
 
 
 @pytest.fixture(scope="session")

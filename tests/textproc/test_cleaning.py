@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.forums.models import Forum, Message, UserRecord
 from repro.obs.metrics import get_registry
 from repro.textproc.cleaning import (
@@ -16,6 +17,8 @@ from repro.textproc.langdetect import LanguageDetector
 
 GOOD = ("I really think this vendor deserves more attention because "
         "the quality has been consistent for months")
+GERMAN = ("das Paket ist pünktlich angekommen und alles war gut, danke "
+          "schön für die schnelle Lieferung")
 
 
 def _msg(i, author, text, forum="f", section="s", ts=1_500_000_000):
@@ -132,6 +135,31 @@ class TestPolishMessages:
         assert kept == [GOOD, other]
 
 
+class TestKeepLanguage:
+    def test_german_forum_kept_with_keep_language_de(self):
+        config = CleaningConfig(keep_language="de")
+        assert polish_messages([GERMAN, GOOD], config) == [GERMAN]
+        forum = _forum([_msg(1, "anna", GERMAN), _msg(2, "anna", GOOD),
+                        _msg(3, "bob", GOOD)])
+        polished, report = polish_forum(forum, config)
+        assert [m.text for m in polished.users["anna"].messages] == [GERMAN]
+        assert "bob" not in polished.users
+        assert report.dropped_non_english == 2
+        assert report.kept_messages == 1
+
+    def test_unknown_keep_language_rejected(self):
+        with pytest.raises(ConfigurationError, match="'xx'"):
+            polish_messages([GOOD], CleaningConfig(keep_language="xx"))
+        with pytest.raises(ConfigurationError, match="'fr'"):
+            MessagePolisher(CleaningConfig(keep_language="fr"),
+                            LanguageDetector(["en", "de"]))
+
+    @pytest.mark.parametrize("floor", [1.5, -0.1])
+    def test_confidence_floor_outside_unit_interval_rejected(self, floor):
+        with pytest.raises(ConfigurationError, match=str(floor)):
+            CleaningConfig(language_min_confidence=floor)
+
+
 class TestPolishForum:
     def test_bot_accounts_dropped(self):
         forum = _forum([_msg(1, "spambot", GOOD),
@@ -193,11 +221,13 @@ def _metric(name):
 
 
 class _CountingDetector(LanguageDetector):
+    """Counts the texts it scores (polishing scores in batches)."""
+
     calls = 0
 
-    def is_english(self, text, min_confidence=0.5):
-        self.calls += 1
-        return super().is_english(text, min_confidence)
+    def detect_many(self, texts):
+        self.calls += len(texts)
+        return super().detect_many(texts)
 
 
 class TestPolishCounters:

@@ -98,6 +98,10 @@ class TestConstruction:
         with pytest.raises(LanguageDetectionError):
             LanguageDetector(["en", "klingon"])
 
+    def test_duplicate_language_codes_rejected(self):
+        with pytest.raises(LanguageDetectionError, match=r"\['en'\]"):
+            LanguageDetector(["en", "en", "de"])
+
     def test_empty_language_list_rejected(self):
         with pytest.raises(LanguageDetectionError):
             LanguageDetector([])
